@@ -5,6 +5,7 @@
 #include "common/hash.h"
 #include "common/threadpool.h"
 #include "exec/parallel.h"
+#include "exec/scan.h"
 
 namespace vertexica {
 
@@ -258,6 +259,287 @@ void AggregateChunk(const Table& in, const std::vector<int>& group_cols,
   }
 }
 
+/// The typed fold's accumulator shape for one aggregate.
+enum class TypedAgg {
+  kCount,      ///< COUNT / COUNT(*): n
+  kSumDouble,  ///< d (output DOUBLE)
+  kSumInt,     ///< i (output INT64)
+  kAvgDouble,  ///< d, n
+  kAvgInt,     ///< d (of the values as doubles), n
+  kMinDouble,  ///< d
+  kMaxDouble,  ///< d
+  kMinInt,     ///< i, compared as doubles like CompareValues
+  kMaxInt,     ///< i, compared as doubles like CompareValues
+};
+
+/// The typed shape of every aggregate, or false when the generic fold must
+/// run: the typed fold needs one non-null INT64 key and only
+/// SUM/MIN/MAX/COUNT/AVG (or COUNT(*)) over non-null INT64/DOUBLE columns.
+bool ResolveTypedAggs(const Table& in, const std::vector<int>& group_cols,
+                      const std::vector<AggSpec>& aggs,
+                      const std::vector<int>& agg_cols,
+                      std::vector<TypedAgg>* typed) {
+  if (group_cols.size() != 1) return false;
+  const Column& key = in.column(group_cols[0]);
+  if (key.type() != DataType::kInt64 || key.null_count() != 0) return false;
+  typed->clear();
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    if (aggs[a].op == AggOp::kCountStar) {
+      typed->push_back(TypedAgg::kCount);
+      continue;
+    }
+    const Column& col = in.column(agg_cols[a]);
+    if (col.null_count() != 0) return false;
+    const bool is_int = col.type() == DataType::kInt64;
+    if (!is_int && col.type() != DataType::kDouble) return false;
+    switch (aggs[a].op) {
+      case AggOp::kCount:
+        typed->push_back(TypedAgg::kCount);
+        break;
+      case AggOp::kSum:
+        typed->push_back(is_int ? TypedAgg::kSumInt : TypedAgg::kSumDouble);
+        break;
+      case AggOp::kAvg:
+        typed->push_back(is_int ? TypedAgg::kAvgInt : TypedAgg::kAvgDouble);
+        break;
+      case AggOp::kMin:
+        typed->push_back(is_int ? TypedAgg::kMinInt : TypedAgg::kMinDouble);
+        break;
+      case AggOp::kMax:
+        typed->push_back(is_int ? TypedAgg::kMaxInt : TypedAgg::kMaxDouble);
+        break;
+      case AggOp::kCountStar:
+        break;
+    }
+  }
+  return true;
+}
+
+/// Plain per-group accumulator arrays of one aggregate (which members are
+/// used depends on its TypedAgg).
+struct TypedAcc {
+  std::vector<double> d;
+  std::vector<int64_t> i;
+  std::vector<int64_t> n;
+};
+
+/// One chunk's typed partial: groups in local first-appearance order
+/// (representatives are global row ids) and one TypedAcc per aggregate.
+struct TypedPartial {
+  std::vector<int64_t> representative;
+  std::vector<TypedAcc> acc;
+};
+
+/// Folds rows [begin, end) of `in` into a typed partial — the same fold as
+/// AccumulateRow over a fresh AccState per group, one aggregate at a time:
+/// sums start at 0.0 / 0 and add in row order; extremes seed with the
+/// group's first row and replace only on a strict double comparison.
+void TypedAggregateChunk(const Table& in, int key_col,
+                         const std::vector<TypedAgg>& typed,
+                         const std::vector<int>& agg_cols, int64_t begin,
+                         int64_t end, TypedPartial* out) {
+  const int64_t* keys = in.column(key_col).ints().data() + begin;
+  const auto rows = static_cast<size_t>(end - begin);
+  std::vector<int64_t> group_of(rows);
+  Int64HashMap<int64_t> ids(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    const auto row = static_cast<int64_t>(r) + begin;
+    int64_t& gid = ids.GetOrInsert(keys[r], -1);
+    if (gid < 0) {
+      gid = static_cast<int64_t>(out->representative.size());
+      out->representative.push_back(row);
+    }
+    group_of[r] = gid;
+  }
+  const size_t groups = out->representative.size();
+  out->acc.resize(typed.size());
+  for (size_t a = 0; a < typed.size(); ++a) {
+    TypedAcc& acc = out->acc[a];
+    const Column* col = agg_cols[a] < 0 ? nullptr : &in.column(agg_cols[a]);
+    const auto double_at = [&](size_t r) {
+      return col->doubles()[r + static_cast<size_t>(begin)];
+    };
+    const auto int_at = [&](size_t r) {
+      return col->ints()[r + static_cast<size_t>(begin)];
+    };
+    const auto first_row = [&](size_t g) {
+      return static_cast<size_t>(out->representative[g] - begin);
+    };
+    switch (typed[a]) {
+      case TypedAgg::kCount:
+        acc.n.assign(groups, 0);
+        for (size_t r = 0; r < rows; ++r) ++acc.n[group_of[r]];
+        break;
+      case TypedAgg::kSumDouble:
+        acc.d.assign(groups, 0.0);
+        for (size_t r = 0; r < rows; ++r) acc.d[group_of[r]] += double_at(r);
+        break;
+      case TypedAgg::kSumInt:
+        acc.i.assign(groups, 0);
+        for (size_t r = 0; r < rows; ++r) acc.i[group_of[r]] += int_at(r);
+        break;
+      case TypedAgg::kAvgDouble:
+        acc.d.assign(groups, 0.0);
+        acc.n.assign(groups, 0);
+        for (size_t r = 0; r < rows; ++r) {
+          acc.d[group_of[r]] += double_at(r);
+          ++acc.n[group_of[r]];
+        }
+        break;
+      case TypedAgg::kAvgInt:
+        acc.d.assign(groups, 0.0);
+        acc.n.assign(groups, 0);
+        for (size_t r = 0; r < rows; ++r) {
+          acc.d[group_of[r]] += static_cast<double>(int_at(r));
+          ++acc.n[group_of[r]];
+        }
+        break;
+      case TypedAgg::kMinDouble:
+      case TypedAgg::kMaxDouble: {
+        const bool is_min = typed[a] == TypedAgg::kMinDouble;
+        acc.d.resize(groups);
+        for (size_t g = 0; g < groups; ++g) acc.d[g] = double_at(first_row(g));
+        for (size_t r = 0; r < rows; ++r) {
+          const double v = double_at(r);
+          double& e = acc.d[group_of[r]];
+          if (is_min ? v < e : v > e) e = v;
+        }
+        break;
+      }
+      case TypedAgg::kMinInt:
+      case TypedAgg::kMaxInt: {
+        const bool is_min = typed[a] == TypedAgg::kMinInt;
+        acc.i.resize(groups);
+        for (size_t g = 0; g < groups; ++g) acc.i[g] = int_at(first_row(g));
+        for (size_t r = 0; r < rows; ++r) {
+          const int64_t v = int_at(r);
+          int64_t& e = acc.i[group_of[r]];
+          const double x = static_cast<double>(v);
+          const double y = static_cast<double>(e);
+          if (is_min ? x < y : x > y) e = v;
+        }
+        break;
+      }
+    }
+  }
+}
+
+/// The typed fold of ParallelHashAggregate: per-chunk typed partials over
+/// the generic fold's chunk boundaries, merged in chunk order with MergeAcc's
+/// arithmetic (a new merged group starts from the zero state, so sums add
+/// onto 0.0 exactly as AccState's do), materialized straight from the
+/// arrays.
+Result<Table> TypedParallelAggregate(const Table& input, const Schema& schema,
+                                     int key_col,
+                                     const std::vector<TypedAgg>& typed,
+                                     const std::vector<int>& agg_cols,
+                                     const ParallelOptions& options) {
+  const int64_t rows = input.num_rows();
+  const int64_t grain = options.ResolvedGrain();
+  const size_t num_chunks =
+      rows == 0 ? 0 : static_cast<size_t>((rows + grain - 1) / grain);
+  std::vector<TypedPartial> partials(num_chunks);
+  VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
+      0, static_cast<size_t>(rows), static_cast<size_t>(grain),
+      [&](size_t begin, size_t end) {
+        TypedAggregateChunk(input, key_col, typed, agg_cols,
+                            static_cast<int64_t>(begin),
+                            static_cast<int64_t>(end),
+                            &partials[begin / static_cast<size_t>(grain)]);
+        return Status::OK();
+      },
+      options.ResolvedThreads()));
+
+  const auto& keys = input.column(key_col).ints();
+  std::vector<int64_t> representative;
+  std::vector<TypedAcc> acc(typed.size());
+  Int64HashMap<int64_t> ids(256);
+  for (const TypedPartial& partial : partials) {
+    for (size_t g = 0; g < partial.representative.size(); ++g) {
+      const int64_t rep = partial.representative[g];
+      int64_t& gid = ids.GetOrInsert(keys[static_cast<size_t>(rep)], -1);
+      const bool fresh = gid < 0;
+      if (fresh) {
+        gid = static_cast<int64_t>(representative.size());
+        representative.push_back(rep);
+      }
+      const auto dst = static_cast<size_t>(gid);
+      for (size_t a = 0; a < typed.size(); ++a) {
+        const TypedAcc& src = partial.acc[a];
+        TypedAcc& out = acc[a];
+        if (fresh) {
+          out.d.push_back(0.0);
+          out.i.push_back(0);
+          out.n.push_back(0);
+        }
+        switch (typed[a]) {
+          case TypedAgg::kCount:
+            out.n[dst] += src.n[g];
+            break;
+          case TypedAgg::kSumDouble:
+            out.d[dst] += src.d[g];
+            break;
+          case TypedAgg::kSumInt:
+            out.i[dst] += src.i[g];
+            break;
+          case TypedAgg::kAvgDouble:
+          case TypedAgg::kAvgInt:
+            out.d[dst] += src.d[g];
+            out.n[dst] += src.n[g];
+            break;
+          case TypedAgg::kMinDouble:
+          case TypedAgg::kMaxDouble: {
+            const double v = src.d[g];
+            double& e = out.d[dst];
+            const bool is_min = typed[a] == TypedAgg::kMinDouble;
+            if (fresh || (is_min ? v < e : v > e)) e = v;
+            break;
+          }
+          case TypedAgg::kMinInt:
+          case TypedAgg::kMaxInt: {
+            const int64_t v = src.i[g];
+            int64_t& e = out.i[dst];
+            const double x = static_cast<double>(v);
+            const double y = static_cast<double>(e);
+            const bool is_min = typed[a] == TypedAgg::kMinInt;
+            if (fresh || (is_min ? x < y : x > y)) e = v;
+            break;
+          }
+        }
+      }
+    }
+  }
+
+  std::vector<Column> out_cols;
+  out_cols.push_back(input.column(key_col).Take(representative));
+  for (size_t a = 0; a < typed.size(); ++a) {
+    TypedAcc& st = acc[a];
+    switch (typed[a]) {
+      case TypedAgg::kCount:
+        out_cols.push_back(Column::FromInts(std::move(st.n)));
+        break;
+      case TypedAgg::kSumInt:
+      case TypedAgg::kMinInt:
+      case TypedAgg::kMaxInt:
+        out_cols.push_back(Column::FromInts(std::move(st.i)));
+        break;
+      case TypedAgg::kAvgDouble:
+      case TypedAgg::kAvgInt:
+        for (size_t g = 0; g < st.d.size(); ++g) {
+          st.d[g] /= static_cast<double>(st.n[g]);
+        }
+        out_cols.push_back(Column::FromDoubles(std::move(st.d)));
+        break;
+      case TypedAgg::kSumDouble:
+      case TypedAgg::kMinDouble:
+      case TypedAgg::kMaxDouble:
+        out_cols.push_back(Column::FromDoubles(std::move(st.d)));
+        break;
+    }
+  }
+  return Table::Make(schema, std::move(out_cols));
+}
+
 }  // namespace
 
 const char* AggOpName(AggOp op) {
@@ -343,7 +625,8 @@ HashAggregateOp::HashAggregateOp(OperatorPtr input,
 }
 
 Status HashAggregateOp::Compute() {
-  VX_ASSIGN_OR_RETURN(Table in, Collect(input_.get()));
+  VX_ASSIGN_OR_RETURN(auto in_table, CollectShared(input_.get()));
+  const Table& in = *in_table;
 
   std::vector<int> group_cols;
   std::vector<int> agg_cols;
@@ -421,10 +704,41 @@ Result<std::optional<Table>> HashAggregateOp::Next() {
   return std::move(result_);
 }
 
+bool UsesTypedAggregateFold(const Table& input,
+                            const std::vector<std::string>& group_by,
+                            const std::vector<AggSpec>& aggs) {
+  if (!AggregateOutputSchema(input.schema(), group_by, aggs).ok()) {
+    return false;
+  }
+  std::vector<int> group_cols;
+  std::vector<int> agg_cols;
+  std::vector<TypedAgg> typed;
+  return ResolveAggColumns(input, group_by, aggs, &group_cols, &agg_cols)
+             .ok() &&
+         ResolveTypedAggs(input, group_cols, aggs, agg_cols, &typed);
+}
+
 Result<Table> ParallelHashAggregate(const Table& input,
                                     const std::vector<std::string>& group_by,
                                     const std::vector<AggSpec>& aggs,
                                     const ParallelOptions& options) {
+  VX_ASSIGN_OR_RETURN(Schema schema,
+                      AggregateOutputSchema(input.schema(), group_by, aggs));
+  std::vector<int> group_cols;
+  std::vector<int> agg_cols;
+  VX_RETURN_NOT_OK(
+      ResolveAggColumns(input, group_by, aggs, &group_cols, &agg_cols));
+  std::vector<TypedAgg> typed;
+  if (ResolveTypedAggs(input, group_cols, aggs, agg_cols, &typed)) {
+    return TypedParallelAggregate(input, schema, group_cols[0], typed,
+                                  agg_cols, options);
+  }
+  return GenericParallelHashAggregate(input, group_by, aggs, options);
+}
+
+Result<Table> GenericParallelHashAggregate(
+    const Table& input, const std::vector<std::string>& group_by,
+    const std::vector<AggSpec>& aggs, const ParallelOptions& options) {
   VX_ASSIGN_OR_RETURN(Schema schema,
                       AggregateOutputSchema(input.schema(), group_by, aggs));
   std::vector<int> group_cols;

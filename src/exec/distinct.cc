@@ -1,6 +1,7 @@
 #include "exec/distinct.h"
 
 #include "common/hash.h"
+#include "exec/scan.h"
 
 namespace vertexica {
 
@@ -26,7 +27,8 @@ bool RowsEqual(const Table& t, int64_t a, int64_t b) {
 Result<std::optional<Table>> DistinctOp::Next() {
   if (done_) return std::optional<Table>{};
   done_ = true;
-  VX_ASSIGN_OR_RETURN(Table all, Collect(input_.get()));
+  VX_ASSIGN_OR_RETURN(auto all_table, CollectShared(input_.get()));
+  const Table& all = *all_table;
   // order-insensitive: keyed lookups only; kept rows come out in input-row
   // order, never in map-iteration order.
   std::unordered_map<uint64_t, std::vector<int64_t>> seen;

@@ -603,9 +603,9 @@ Result<std::optional<Table>> ParallelAggregateOp::Next() {
   VX_RETURN_NOT_OK(init_status_);
   if (done_) return std::optional<Table>{};
   done_ = true;
-  VX_ASSIGN_OR_RETURN(Table in, Collect(input_.get()));
+  VX_ASSIGN_OR_RETURN(auto in, CollectShared(input_.get()));
   VX_ASSIGN_OR_RETURN(Table out,
-                      ParallelHashAggregate(in, group_by_, aggs_, options_));
+                      ParallelHashAggregate(*in, group_by_, aggs_, options_));
   return std::optional<Table>(std::move(out));
 }
 

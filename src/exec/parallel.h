@@ -168,10 +168,31 @@ Result<Table> ParallelHashJoin(const Table& probe, const Table& build,
 /// \brief Parallel hash aggregation: per-chunk partial states merged in
 /// chunk order (so group order matches global first-appearance order, like
 /// the serial operator). Defined in aggregate.cc next to the serial kernel.
+///
+/// Two folds, chosen by the arguments alone (UsesTypedAggregateFold): a
+/// typed fold over plain per-chunk accumulator arrays when there is one
+/// non-null INT64 key and every aggregate is SUM/MIN/MAX/COUNT/AVG (or
+/// COUNT(*)) over a non-null INT64 or DOUBLE column — the message
+/// combiner's and SQL `GROUP BY dst`'s shape — and the generic
+/// per-group AccState/Value fold otherwise. Both use the same morsel-chunk
+/// boundaries, chunk-order merge and first-appearance group order, and the
+/// same arithmetic in the same order, so they return identical bytes.
 Result<Table> ParallelHashAggregate(const Table& input,
                                     const std::vector<std::string>& group_by,
                                     const std::vector<AggSpec>& aggs,
                                     const ParallelOptions& options = {});
+
+/// \brief True when ParallelHashAggregate takes the typed fold for these
+/// arguments.
+bool UsesTypedAggregateFold(const Table& input,
+                            const std::vector<std::string>& group_by,
+                            const std::vector<AggSpec>& aggs);
+
+/// \brief The generic fold of ParallelHashAggregate on any arguments — the
+/// reference the typed fold is held to byte for byte.
+Result<Table> GenericParallelHashAggregate(
+    const Table& input, const std::vector<std::string>& group_by,
+    const std::vector<AggSpec>& aggs, const ParallelOptions& options = {});
 
 /// \brief Operator wrapper over ParallelHashJoin: materializes both
 /// children, joins in parallel, emits the result as one batch. This is what

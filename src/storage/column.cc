@@ -343,42 +343,55 @@ void Column::AppendValue(const Value& v) {
 }
 
 void Column::AppendColumn(const Column& other) {
+  AppendColumnRange(other, 0, other.length_);
+}
+
+void Column::AppendColumnRange(const Column& other, int64_t offset,
+                               int64_t count) {
   VX_CHECK(type_ == other.type_)
       << "AppendColumn type mismatch: " << DataTypeName(type_) << " vs "
       << DataTypeName(other.type_);
+  VX_CHECK(offset >= 0 && count >= 0 && offset + count <= other.length_);
   if (MutationInvalidatesState()) PrepareMutation();
+  const auto b = static_cast<size_t>(offset);
+  const auto e = static_cast<size_t>(offset + count);
+  int64_t nulls = 0;
   if (!other.validity_.empty() || !validity_.empty()) {
     EnsureValidity();
     if (other.validity_.empty()) {
-      validity_.insert(validity_.end(), static_cast<size_t>(other.length_), 1);
+      validity_.insert(validity_.end(), static_cast<size_t>(count), 1);
     } else {
-      validity_.insert(validity_.end(), other.validity_.begin(),
-                       other.validity_.end());
+      validity_.insert(validity_.end(), other.validity_.begin() + b,
+                       other.validity_.begin() + e);
+      nulls = count == other.length_
+                  ? other.null_count_
+                  : count - std::count(other.validity_.begin() + b,
+                                       other.validity_.begin() + e, 1);
     }
   }
   switch (type_) {
     case DataType::kInt64: {
       const auto& src = other.ints();
-      ints_.insert(ints_.end(), src.begin(), src.end());
+      ints_.insert(ints_.end(), src.begin() + b, src.begin() + e);
       break;
     }
     case DataType::kDouble:
-      doubles_.insert(doubles_.end(), other.doubles_.begin(),
-                      other.doubles_.end());
+      doubles_.insert(doubles_.end(), other.doubles_.begin() + b,
+                      other.doubles_.begin() + e);
       break;
     case DataType::kString: {
       const auto& src = other.strings();
-      strings_.insert(strings_.end(), src.begin(), src.end());
+      strings_.insert(strings_.end(), src.begin() + b, src.begin() + e);
       break;
     }
     case DataType::kBool: {
       const auto& src = other.bools();
-      bools_.insert(bools_.end(), src.begin(), src.end());
+      bools_.insert(bools_.end(), src.begin() + b, src.begin() + e);
       break;
     }
   }
-  length_ += other.length_;
-  null_count_ += other.null_count_;
+  length_ += count;
+  null_count_ += nulls;
 }
 
 Value Column::GetValue(int64_t i) const {

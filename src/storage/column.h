@@ -120,6 +120,8 @@ class Column {
   void AppendValue(const Value& v);
   /// \brief Appends rows [0, other.length()) of `other` (same type).
   void AppendColumn(const Column& other);
+  /// \brief Appends rows [offset, offset + count) of `other` (same type).
+  void AppendColumnRange(const Column& other, int64_t offset, int64_t count);
   /// @}
 
   /// \name Element access

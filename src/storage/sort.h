@@ -26,6 +26,16 @@ std::vector<int64_t> SortIndices(const Table& table,
 /// property (Table::sort_order) declared accordingly.
 Table SortTable(const Table& table, const std::vector<SortKey>& keys);
 
+/// \brief Stable merge of tables sharing one schema on the INT64 column
+/// `key_column`, ascending with NULLs first: rows with equal keys come out
+/// in input-table order, then in row order — exactly
+/// `SortTable(concatenation of inputs, {{key_column, true}})`, without
+/// the concatenation or the sort. Inputs whose declared order starts with
+/// that key are trusted to be sorted; any other input is stable-sorted
+/// first, never assumed sorted. The output declares the key order.
+Table MergeSortedTables(const std::vector<const Table*>& inputs,
+                        int key_column);
+
 }  // namespace vertexica
 
 #endif  // VERTEXICA_STORAGE_SORT_H_

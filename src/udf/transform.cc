@@ -18,38 +18,29 @@ TransformParallelism ResolveTransformParallelism(const TransformOptions& opts) {
   return out;
 }
 
-Result<Table> ApplyTransform(const Table& input, int partition_column,
-                             const TransformUdfFactory& factory,
-                             const TransformOptions& options) {
-  if (partition_column < 0 || partition_column >= input.num_columns()) {
-    return Status::InvalidArgument("ApplyTransform: bad partition column");
-  }
+Result<Table> RunTransform(const TransformPartitionSource& make_partition,
+                           const TransformUdfFactory& factory,
+                           const TransformOptions& options) {
   const TransformParallelism par = ResolveTransformParallelism(options);
-
-  std::vector<Table> parts =
-      HashPartition(input, partition_column, par.partitions);
-
-  // Pre-sort partitions (the §2.3 "each partition is sorted on vertex id"
-  // step) and prepare one output slot per partition so emission order is
-  // deterministic regardless of scheduling.
-  std::vector<SortKey> keys;
-  for (int c : options.sort_columns) keys.push_back(SortKey{c, true});
 
   // Discover the output schema from a throwaway instance.
   const Schema out_schema = factory()->output_schema();
 
-  std::vector<Table> outputs(parts.size(), Table(out_schema));
+  // One output slot per partition so emission order is deterministic
+  // regardless of scheduling.
+  std::vector<Table> outputs(static_cast<size_t>(par.partitions),
+                             Table(out_schema));
 
   // Propagate the caller's ambient thread budget into the pool tasks so a
   // UDF body that runs exec kernels keeps honouring RunRequest::threads.
   const int ambient_threads = ExecThreads();
   VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
-      0, parts.size(), /*grain=*/1,
+      0, outputs.size(), /*grain=*/1,
       [&](size_t begin, size_t end) -> Status {
         ScopedExecThreads scoped(ambient_threads);
         for (size_t p = begin; p < end; ++p) {
-          Table partition =
-              keys.empty() ? std::move(parts[p]) : SortTable(parts[p], keys);
+          VX_ASSIGN_OR_RETURN(Table partition,
+                              make_partition(static_cast<int>(p)));
           if (partition.num_rows() == 0) continue;
           auto udf = factory();
           Table& out = outputs[p];
@@ -65,6 +56,28 @@ Result<Table> ApplyTransform(const Table& input, int partition_column,
     VX_RETURN_NOT_OK(result.Append(out));
   }
   return result;
+}
+
+Result<Table> ApplyTransform(const Table& input, int partition_column,
+                             const TransformUdfFactory& factory,
+                             const TransformOptions& options) {
+  if (partition_column < 0 || partition_column >= input.num_columns()) {
+    return Status::InvalidArgument("ApplyTransform: bad partition column");
+  }
+  const TransformParallelism par = ResolveTransformParallelism(options);
+  std::vector<Table> parts =
+      HashPartition(input, partition_column, par.partitions);
+
+  // Pre-sort partitions: the §2.3 "each partition is sorted on vertex id"
+  // step.
+  std::vector<SortKey> keys;
+  for (int c : options.sort_columns) keys.push_back(SortKey{c, true});
+  return RunTransform(
+      [&](int p) -> Result<Table> {
+        Table& part = parts[static_cast<size_t>(p)];
+        return keys.empty() ? std::move(part) : SortTable(part, keys);
+      },
+      factory, options);
 }
 
 }  // namespace vertexica

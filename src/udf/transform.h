@@ -81,8 +81,25 @@ struct TransformParallelism {
 };
 TransformParallelism ResolveTransformParallelism(const TransformOptions& opts);
 
+/// \brief Produces partition `p` of a transform's input, already in the
+/// order the UDF must see it. Called once per partition from that
+/// partition's worker task, so partitions are built in parallel.
+using TransformPartitionSource = std::function<Result<Table>(int p)>;
+
+/// \brief The "run the UDFs in partition order" step: builds each of the
+/// ResolveTransformParallelism(options).partitions partitions through
+/// `make_partition` inside its worker task, runs one fresh UDF instance
+/// over every non-empty one, and concatenates the outputs in partition
+/// order — independent of scheduling. `options.sort_columns` is the
+/// source's business here; it is not applied.
+Result<Table> RunTransform(const TransformPartitionSource& make_partition,
+                           const TransformUdfFactory& factory,
+                           const TransformOptions& options = {});
+
 /// \brief Runs a transform UDF over `input` partitioned by `partition_column`
-/// (an INT64 column index), returning the concatenated outputs.
+/// (an INT64 column index), returning the concatenated outputs. The "make
+/// partition" step is HashPartition plus a stable sort on
+/// `options.sort_columns`.
 ///
 /// Equivalent SQL: `SELECT udf(...) OVER (PARTITION BY key ORDER BY ...)`.
 Result<Table> ApplyTransform(const Table& input, int partition_column,

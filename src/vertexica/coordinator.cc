@@ -148,9 +148,8 @@ struct Frontier {
 /// Gates, cheapest first: the knob (`mode` off), superstep 0 (everything is
 /// active by definition), and the structural precondition that the vertex
 /// table is declared sorted by id — receiver lookup is then a binary search
-/// per message destination, and the regimes line up: the in-place update
-/// path (the sparse regime this path targets) preserves that declared
-/// order, while the union-path replace rebuild (the dense regime) drops it.
+/// per message destination. Both update paths keep the declaration: the
+/// in-place scatter re-declares it and the replace rebuild re-sorts.
 /// Under `auto` the halted scan short-circuits the build: active ≥
 /// non-halted, so a non-halted fraction above `threshold` is already a
 /// dense verdict before any bit is set.
@@ -319,6 +318,24 @@ void MergeAggregateRows(const std::vector<AggregatorSpec>& agg_specs,
   }
 }
 
+/// Stable-sorts a message table by receiver — a no-op when that order is
+/// declared. The stored message table keeps this invariant on both input
+/// paths: the join path's vertex ⟕ message join merges instead of hashing,
+/// and the union path's message section merges without a sort. Each
+/// receiver's messages keep their arrival order, so worker-visible message
+/// streams (and results) are unchanged. Not gated on the merge knob (see
+/// the bit-identity note at the top of Coordinator::Run).
+Result<Table> SortedByReceiver(Table messages) {
+  VX_ASSIGN_OR_RETURN(int dst_c, messages.ColumnIndex("dst"));
+  if (messages.num_rows() > 0 && !OrderedByColumn(messages, "dst")) {
+    return SortTable(messages, {{dst_c, true}});
+  }
+  if (messages.sort_order().empty()) {
+    messages.SetSortOrder({{dst_c, true}});  // 0 rows: vacuously so
+  }
+  return messages;
+}
+
 AggOp CombinerToAggOp(MessageCombiner c) {
   switch (c) {
     case MessageCombiner::kSum:
@@ -337,23 +354,19 @@ AggOp CombinerToAggOp(MessageCombiner c) {
 
 /// Resident state of the persistent-sharding path, built once per run:
 /// vertex shards (replaced in place as supersteps apply updates), immutable
-/// edge shards with their cached join sides, and the per-shard message
-/// tables swapped by the between-superstep exchange.
+/// edge shards with their derived-structure caches, and the per-shard
+/// message tables swapped by the between-superstep exchange.
 struct Coordinator::ShardedState {
   ShardingSpec spec;
   PartitionSet vertex;
   PartitionSet edge;
   std::vector<TablePtr> message;
-  std::vector<TablePtr> edge_join_side;  // empty on the union-input path
-  /// Per-shard CSR edge indexes of the union-path frontier gathers, built
-  /// lazily the first superstep a shard takes the frontier path (a dense
-  /// run never pays for them). Race-free without locks: each shard's slot
-  /// is touched only by the one ParallelFor task that owns that shard in a
-  /// superstep, and cross-superstep visibility rides the pool's
-  /// submit/join synchronization. `edge_csr_failed[s]` remembers an
-  /// unbuildable shard layout so it is probed once, not every superstep.
-  std::vector<std::shared_ptr<const CsrIndex>> edge_csr;
-  std::vector<uint8_t> edge_csr_failed;
+  /// Per-edge-shard caches, built lazily like the unsharded loop's (a
+  /// dense run never pays for a CSR index). Race-free without locks: each
+  /// shard's slot is touched only by the one ParallelFor task that owns
+  /// that shard in a superstep, and cross-superstep visibility rides the
+  /// pool's submit/join synchronization.
+  std::vector<EdgeDerived> edge_derived;
 };
 
 Coordinator::Coordinator(Catalog* catalog, VertexProgram* program,
@@ -364,52 +377,6 @@ Coordinator::Coordinator(Catalog* catalog, VertexProgram* program,
       names_(std::move(names)) {}
 
 Coordinator::~Coordinator() = default;
-
-Result<Table> Coordinator::BuildUnionInput(const TablePtr& vertex,
-                                           const TablePtr& edge,
-                                           const TablePtr& message) const {
-  const int va = program_->value_arity();
-  const int ma = program_->message_arity();
-  const int arity = PayloadArity(*program_);
-
-  // §2.3 "Table Unions": the three inputs are renamed to a common schema
-  // and unioned instead of joined. Each section is projected
-  // morsel-parallel; UNION ALL is then just ordered concatenation.
-  std::vector<ProjectionSpec> vproj = {
-      {"id", Col("id")},
-      {"kind", Lit(static_cast<int64_t>(kVertexTuple))},
-      {"other", Lit(int64_t{-1})},
-      {"halted", Col("halted")}};
-  for (int i = 0; i < arity; ++i) {
-    vproj.push_back({StringFormat("p%d", i),
-                     i < va ? Col(StringFormat("v%d", i)) : Lit(0.0)});
-  }
-  std::vector<ProjectionSpec> eproj = {
-      {"id", Col("src")},
-      {"kind", Lit(static_cast<int64_t>(kEdgeTuple))},
-      {"other", Col("dst")},
-      {"halted", Lit(false)}};
-  for (int i = 0; i < arity; ++i) {
-    eproj.push_back({StringFormat("p%d", i),
-                     i == 0 ? Col("weight") : Lit(0.0)});
-  }
-  std::vector<ProjectionSpec> mproj = {
-      {"id", Col("dst")},
-      {"kind", Lit(static_cast<int64_t>(kMessageTuple))},
-      {"other", Col("src")},
-      {"halted", Lit(false)}};
-  for (int i = 0; i < arity; ++i) {
-    mproj.push_back({StringFormat("p%d", i),
-                     i < ma ? Col(StringFormat("m%d", i)) : Lit(0.0)});
-  }
-
-  VX_ASSIGN_OR_RETURN(Table input, ParallelProject(vertex, vproj));
-  VX_ASSIGN_OR_RETURN(Table edge_part, ParallelProject(edge, eproj));
-  VX_ASSIGN_OR_RETURN(Table msg_part, ParallelProject(message, mproj));
-  VX_RETURN_NOT_OK(input.Append(edge_part));
-  VX_RETURN_NOT_OK(input.Append(msg_part));
-  return input;
-}
 
 Result<Coordinator::TablePtr> Coordinator::BuildEdgeJoinSide(
     const TablePtr& edge) const {
@@ -469,73 +436,51 @@ Result<Table> Coordinator::BuildJoinInputWithEdgeSide(
       .Execute();
 }
 
-void Coordinator::SyncEdgeDerived(const TablePtr& edge) const {
-  if (edge_derived_.source == edge) return;
+void Coordinator::SyncEdgeDerived(EdgeDerived* cache, const TablePtr& edge) {
+  if (cache->source == edge) return;
   // A different snapshot — including an edge table replaced mid-run (the
   // dynamic-graph path): drop every derived structure together so nothing
   // stale can pair with the new rows.
-  edge_derived_ = EdgeDerived{};
-  edge_derived_.source = edge;
+  *cache = EdgeDerived{};
+  cache->source = edge;
 }
 
 Result<Coordinator::TablePtr> Coordinator::EdgeJoinSideFor(
-    const TablePtr& edge) const {
-  SyncEdgeDerived(edge);
-  if (edge_derived_.join_side == nullptr) {
-    VX_ASSIGN_OR_RETURN(edge_derived_.join_side, BuildEdgeJoinSide(edge));
+    EdgeDerived* cache, const TablePtr& edge) const {
+  SyncEdgeDerived(cache, edge);
+  if (cache->join_side == nullptr) {
+    VX_ASSIGN_OR_RETURN(cache->join_side, BuildEdgeJoinSide(edge));
   }
-  return edge_derived_.join_side;
+  return cache->join_side;
 }
 
-const CsrIndex* Coordinator::EdgeCsrFor(const TablePtr& edge) const {
-  SyncEdgeDerived(edge);
-  if (edge_derived_.csr == nullptr && !edge_derived_.csr_failed) {
+Result<std::shared_ptr<const UnionSection>> Coordinator::EdgeUnionSectionFor(
+    EdgeDerived* cache, const TablePtr& edge, int num_partitions) const {
+  SyncEdgeDerived(cache, edge);
+  if (cache->union_section == nullptr) {
+    VX_ASSIGN_OR_RETURN(UnionSection section,
+                        BuildUnionSection(UnionSectionKind::kEdge, edge,
+                                          *program_, num_partitions));
+    cache->union_section =
+        std::make_shared<const UnionSection>(std::move(section));
+  }
+  return cache->union_section;
+}
+
+const CsrIndex* Coordinator::EdgeCsrFor(EdgeDerived* cache,
+                                        const TablePtr& edge) const {
+  SyncEdgeDerived(cache, edge);
+  if (cache->csr == nullptr && !cache->csr_failed) {
     const Column* src = edge->ColumnByName("src");
-    if (src != nullptr) edge_derived_.csr = CsrIndex::Build(*src);
-    edge_derived_.csr_failed = edge_derived_.csr == nullptr;
-    if (edge_derived_.csr != nullptr) {
+    if (src != nullptr) cache->csr = CsrIndex::Build(*src);
+    cache->csr_failed = cache->csr == nullptr;
+    if (cache->csr != nullptr) {
       // The index is cached across supersteps keyed on this snapshot; prove
       // once that it describes exactly this key column.
-      VX_DCHECK_OK(edge_derived_.csr->CheckInvariants(*src));
+      VX_DCHECK_OK(cache->csr->CheckInvariants(*src));
     }
   }
-  return edge_derived_.csr.get();
-}
-
-Result<Table> Coordinator::BuildJoinInput(const TablePtr& vertex,
-                                          const TablePtr& edge,
-                                          const TablePtr& message) const {
-  VX_ASSIGN_OR_RETURN(TablePtr edge_side, EdgeJoinSideFor(edge));
-  return BuildJoinInputWithEdgeSide(vertex, edge_side, message);
-}
-
-Result<Table> Coordinator::BuildUnionInputFrontier(
-    const TablePtr& vertex, const TablePtr& edge, const TablePtr& message,
-    const Bitvector& frontier, const CsrIndex& csr) const {
-  // Restrict the vertex section to the active rows and the edge section to
-  // their CSR slices, then reuse the dense union builder over the small
-  // tables. Both gathers iterate the frontier in ascending row order over
-  // id-sorted tables, so the restricted sections keep the full tables'
-  // relative row order — after the stable partition-and-sort the surviving
-  // per-vertex tuple streams are exactly the dense build's (inactive
-  // vertices contribute no worker output, so dropping their rows is
-  // unobservable). The message section is passed through whole: every
-  // in-table receiver is in the frontier by construction, and orphan
-  // receivers are skipped by the worker on both paths.
-  const std::vector<int64_t> active_rows = frontier.SetIndices();
-  Table active_vertex = vertex->Take(active_rows);
-
-  const auto& ids = vertex->ColumnByName("id")->ints();
-  std::vector<int64_t> edge_rows;
-  for (int64_t r : active_rows) {
-    const CsrIndex::Slice s = csr.NeighborSlice(ids[static_cast<size_t>(r)]);
-    for (int64_t e = s.begin; e < s.end; ++e) edge_rows.push_back(e);
-  }
-  Table active_edge = edge->Take(edge_rows);
-
-  return BuildUnionInput(
-      std::make_shared<const Table>(std::move(active_vertex)),
-      std::make_shared<const Table>(std::move(active_edge)), message);
+  return cache->csr.get();
 }
 
 Result<Table> Coordinator::BuildJoinInputFrontier(
@@ -665,8 +610,9 @@ Status Coordinator::RestoreSortedInvariant(
     order.push_back({c, true});
   }
   if (table->OrderCoversKeys(cols)) return Status::OK();  // already declared
-  // Not verifiably sorted (e.g. restored from a union-path checkpoint):
-  // leave it — the per-superstep maintenance re-sorts what it needs.
+  // Not verifiably sorted: leave it undeclared — the union input's merge
+  // stable-sorts undeclared sections, the join path hashes, and the
+  // per-superstep maintenance re-sorts the tables it rewrites.
   if (!TableSortedOnKeys(*table, cols)) return Status::OK();
   // ReplaceTable needs a value, so attaching the declaration costs one
   // table copy — paid once per run, and only when the declaration is
@@ -674,6 +620,94 @@ Status Coordinator::RestoreSortedInvariant(
   Table declared = *table;
   declared.SetSortOrder(std::move(order));
   return catalog_->ReplaceTable(table_name, std::move(declared));
+}
+
+Result<Coordinator::WorkerPass> Coordinator::RunWorkerPass(
+    const TablePtr& vertex, const TablePtr& edge, const TablePtr& message,
+    FrontierMode mode, int superstep,
+    const std::shared_ptr<const WorkerSharedState>& shared,
+    EdgeDerived* cache) const {
+  WorkerPass pass;
+  TransformOptions topts;
+  topts.num_workers = options_.num_workers;
+  topts.num_partitions = options_.num_partitions;
+  topts.sort_columns = {0};
+  const int partitions = ResolveTransformParallelism(topts).partitions;
+
+  // ---- Worker input: frontier (sparse) or dense build. -----------------
+  // The frontier decision is part of the measured input phase — deriving
+  // the active set is a cost the sparse path pays, so input_seconds must
+  // charge for it.
+  WallTimer timer;
+  Frontier frontier;
+  pass.used_frontier = ComputeFrontier(*vertex, *message, mode, superstep,
+                                       options_.frontier_threshold,
+                                       &frontier);
+  // The frontier bitvector gates which vertices compute this superstep;
+  // its word-tail hygiene is what the popcount/AND/OR shortcuts assume.
+  if (pass.used_frontier) VX_DCHECK_OK(frontier.bits.CheckInvariants());
+  UnionInput union_input;
+  Table join_input;
+  if (options_.use_union_input) {
+    const CsrIndex* csr =
+        pass.used_frontier ? EdgeCsrFor(cache, edge) : nullptr;
+    pass.used_frontier = pass.used_frontier && csr != nullptr;
+    if (pass.used_frontier) {
+      VX_ASSIGN_OR_RETURN(
+          union_input,
+          BuildUnionInputFrontier(vertex, edge, message, frontier.bits, *csr,
+                                  *program_, partitions));
+    } else {
+      VX_ASSIGN_OR_RETURN(auto edge_section,
+                          EdgeUnionSectionFor(cache, edge, partitions));
+      VX_ASSIGN_OR_RETURN(
+          union_input, BuildUnionInput(vertex, std::move(edge_section),
+                                       message, *program_, partitions));
+    }
+    pass.input_rows = union_input.num_rows();
+  } else {
+    VX_ASSIGN_OR_RETURN(TablePtr edge_side, EdgeJoinSideFor(cache, edge));
+    if (pass.used_frontier) {
+      VX_ASSIGN_OR_RETURN(join_input,
+                          BuildJoinInputFrontier(vertex, edge_side, message,
+                                                 frontier.bits));
+    } else {
+      VX_ASSIGN_OR_RETURN(
+          join_input, BuildJoinInputWithEdgeSide(vertex, edge_side, message));
+    }
+    pass.input_rows = join_input.num_rows();
+  }
+  pass.frontier_vertices = pass.used_frontier ? frontier.active : 0;
+  pass.input_seconds = timer.ElapsedSeconds();
+
+  // ---- Vertex batching (§2.3): id-sorted partitions, parallel UDFs. ----
+  // The union path makes each partition inside its worker task by merging
+  // the section parts; the join input is hash-partitioned on id (column 0)
+  // and each partition sorted on id.
+  timer.Restart();
+  if (options_.use_union_input) {
+    VX_ASSIGN_OR_RETURN(
+        pass.output,
+        RunTransform(
+            [&union_input](int p) -> Result<Table> {
+              return union_input.Partition(p);
+            },
+            [shared]() -> std::unique_ptr<TransformUdf> {
+              return std::make_unique<Worker>(shared);
+            },
+            topts));
+  } else {
+    VX_ASSIGN_OR_RETURN(
+        pass.output,
+        ApplyTransform(
+            join_input, 0,
+            [shared]() -> std::unique_ptr<TransformUdf> {
+              return std::make_unique<JoinWorker>(shared);
+            },
+            topts));
+  }
+  pass.worker_seconds = timer.ElapsedSeconds();
+  return pass;
 }
 
 Status Coordinator::Run(RunStats* stats) {
@@ -688,27 +722,25 @@ Status Coordinator::Run(RunStats* stats) {
   prev_aggregates_.clear();
 
   // The ablation switch: use_merge_join=false pins the hash joins for the
-  // whole run (and skips the sorted-invariant maintenance below); when
-  // true, the ambient knob (VERTEXICA_MERGE_JOIN / ScopedMergeJoin)
-  // still governs, like the encoding mode.
+  // whole run; when true, the ambient knob (VERTEXICA_MERGE_JOIN /
+  // ScopedMergeJoin) still governs, like the encoding mode.
   std::optional<ScopedMergeJoin> scoped_merge;
   if (!options_.use_merge_join) scoped_merge.emplace(false);
 
-  // The sorted-invariant maintenance below is gated on the join-input
-  // path only — NOT on the merge-join knob — so toggling use_merge_join
+  // The sorted-invariant maintenance below is NOT gated on the merge-join
+  // knob (nor on the input path), so toggling use_merge_join
   // (or VERTEXICA_MERGE_JOIN) swaps exactly one thing: the physical join
   // operator. Table row orders, worker inputs, and therefore results are
   // bit-identical by construction between the two paths.
 
   // A restored checkpoint carries the rows but not the sort-order
   // declarations (catalog_io persists none); re-establish them up front
-  // (one verification pass per table) so a resumed run merges like a
-  // fresh one instead of silently hashing to the end.
-  if (!options_.use_union_input) {
-    VX_RETURN_NOT_OK(RestoreSortedInvariant(names_.vertex, {"id"}));
-    VX_RETURN_NOT_OK(RestoreSortedInvariant(names_.edge, {"src", "dst"}));
-    VX_RETURN_NOT_OK(RestoreSortedInvariant(names_.message, {"dst"}));
-  }
+  // (one verification pass per table), on both input paths, so a resumed
+  // run merges, takes the frontier and skips section sorts like a fresh
+  // one instead of silently falling back for the rest of the run.
+  VX_RETURN_NOT_OK(RestoreSortedInvariant(names_.vertex, {"id"}));
+  VX_RETURN_NOT_OK(RestoreSortedInvariant(names_.edge, {"src", "dst"}));
+  VX_RETURN_NOT_OK(RestoreSortedInvariant(names_.message, {"dst"}));
 
   // §1 durability: resume from a checkpoint marker restored by LoadCatalog.
   int first_superstep = 0;
@@ -770,67 +802,15 @@ Status Coordinator::Run(RunStats* stats) {
       shared->aggregator_names.push_back(spec.name);
     }
 
-    // ---- Worker input: frontier (sparse) or dense build. ---------------
-    // The frontier decision is part of the measured input phase — deriving
-    // the active set is a cost the sparse path pays, so input_seconds must
-    // charge for it.
+    VX_ASSIGN_OR_RETURN(
+        WorkerPass pass,
+        RunWorkerPass(vertex, edge, message, AmbientFrontierMode(), superstep,
+                      shared, &edge_derived_));
     WallTimer phase_timer;
-    Frontier frontier;
-    bool used_frontier =
-        ComputeFrontier(*vertex, *message, AmbientFrontierMode(), superstep,
-                        options_.frontier_threshold, &frontier);
-    // The frontier bitvector gates which vertices compute this superstep;
-    // its word-tail hygiene is what the popcount/AND/OR shortcuts assume.
-    if (used_frontier) VX_DCHECK_OK(frontier.bits.CheckInvariants());
-    Table input;
-    if (options_.use_union_input) {
-      const CsrIndex* csr = used_frontier ? EdgeCsrFor(edge) : nullptr;
-      used_frontier = used_frontier && csr != nullptr;
-      if (used_frontier) {
-        VX_ASSIGN_OR_RETURN(input, BuildUnionInputFrontier(
-                                       vertex, edge, message, frontier.bits,
-                                       *csr));
-      } else {
-        VX_ASSIGN_OR_RETURN(input, BuildUnionInput(vertex, edge, message));
-      }
-    } else {
-      VX_ASSIGN_OR_RETURN(TablePtr edge_side, EdgeJoinSideFor(edge));
-      if (used_frontier) {
-        VX_ASSIGN_OR_RETURN(input, BuildJoinInputFrontier(
-                                       vertex, edge_side, message,
-                                       frontier.bits));
-      } else {
-        VX_ASSIGN_OR_RETURN(
-            input, BuildJoinInputWithEdgeSide(vertex, edge_side, message));
-      }
-    }
-    const double input_seconds = phase_timer.ElapsedSeconds();
-
-    // Vertex batching (§2.3): hash partition on vertex id (column 0), sort
-    // each partition on id, and run the worker UDFs in parallel.
-    TransformOptions topts;
-    topts.num_workers = options_.num_workers;
-    topts.num_partitions = options_.num_partitions;
-    topts.sort_columns = {0};
-    TransformUdfFactory factory;
-    if (options_.use_union_input) {
-      factory = [shared]() -> std::unique_ptr<TransformUdf> {
-        return std::make_unique<Worker>(shared);
-      };
-    } else {
-      factory = [shared]() -> std::unique_ptr<TransformUdf> {
-        return std::make_unique<JoinWorker>(shared);
-      };
-    }
-    phase_timer.Restart();
-    VX_ASSIGN_OR_RETURN(Table out_table,
-                        ApplyTransform(input, 0, factory, topts));
-    const double worker_seconds = phase_timer.ElapsedSeconds();
-    phase_timer.Restart();
 
     // Shared snapshot so the two split scans below range-scan it in
     // parallel without copying.
-    const auto out = std::make_shared<const Table>(std::move(out_table));
+    const auto out = std::make_shared<const Table>(std::move(pass.output));
 
     // ---- Split the worker output (fused σ→π, morsel-parallel). --------
     VX_ASSIGN_OR_RETURN(SplitOutputs split, SplitWorkerOutput(out, va, ma));
@@ -848,22 +828,9 @@ Status Coordinator::Run(RunStats* stats) {
     VX_ASSIGN_OR_RETURN(new_messages,
                         CombineMessages(std::move(new_messages)));
 
-    // ---- Sorted-message invariant (order-aware joins). ----------------
-    // Keep the stored message table sorted by receiver so the next
-    // superstep's vertex ⟕ message join merges instead of hashing. The
-    // sort is stable, so each receiver's messages keep their arrival
-    // order — worker-visible message streams (and results) are unchanged.
-    // Only the join-input path benefits, so only it pays; not gated on
-    // the merge knob (see the bit-identity note at the top of Run).
-    if (!options_.use_union_input) {
-      VX_ASSIGN_OR_RETURN(int dst_c, new_messages.ColumnIndex("dst"));
-      if (new_messages.num_rows() > 0 &&
-          !OrderedByColumn(new_messages, "dst")) {
-        new_messages = SortTable(new_messages, {{dst_c, true}});
-      } else if (new_messages.sort_order().empty()) {
-        new_messages.SetSortOrder({{dst_c, true}});  // 0 rows: vacuously so
-      }
-    }
+    // ---- Sorted-message invariant. --------------------------------------
+    VX_ASSIGN_OR_RETURN(new_messages,
+                        SortedByReceiver(std::move(new_messages)));
 
     const double split_seconds = phase_timer.ElapsedSeconds();
     phase_timer.Restart();
@@ -926,28 +893,28 @@ Status Coordinator::Run(RunStats* stats) {
     if (stats != nullptr) {
       SuperstepStats s;
       s.superstep = superstep;
-      s.input_rows = input.num_rows();
+      s.input_rows = pass.input_rows;
       s.active_vertices = active;
       s.vertex_updates = updates.num_rows();
       s.messages_sent = messages_sent;
       s.seconds = step_timer.ElapsedSeconds();
       s.used_replace = used_replace;
-      s.input_seconds = input_seconds;
-      s.worker_seconds = worker_seconds;
+      s.input_seconds = pass.input_seconds;
+      s.worker_seconds = pass.worker_seconds;
       s.split_seconds = split_seconds;
       s.apply_seconds = phase_timer.ElapsedSeconds();
       s.encoded_bytes = encoded_bytes;
       s.decoded_bytes = decoded_bytes;
-      s.used_frontier = used_frontier;
-      s.frontier_vertices = used_frontier ? frontier.active : 0;
+      s.used_frontier = pass.used_frontier;
+      s.frontier_vertices = pass.frontier_vertices;
       s.merge_joins = join_stats.merge_joins;
       s.hash_joins = join_stats.hash_joins;
       s.join_rows = join_stats.merge_rows + join_stats.hash_rows;
       s.join_seconds = join_stats.merge_seconds + join_stats.hash_seconds;
       stats->supersteps.push_back(s);
       stats->total_messages += messages_sent;
-      ++(used_frontier ? stats->frontier_supersteps
-                       : stats->dense_supersteps);
+      ++(pass.used_frontier ? stats->frontier_supersteps
+                            : stats->dense_supersteps);
     }
 
     if (options_.checkpoint_every > 0 &&
@@ -1008,15 +975,7 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
       sharded_->message.push_back(
           std::make_shared<const Table>(std::move(t)));
     }
-    if (!options_.use_union_input) {
-      for (int s = 0; s < num_shards; ++s) {
-        VX_ASSIGN_OR_RETURN(auto side,
-                            BuildEdgeJoinSide(sharded_->edge.shard(s)));
-        sharded_->edge_join_side.push_back(std::move(side));
-      }
-    }
-    sharded_->edge_csr.resize(static_cast<size_t>(num_shards));
-    sharded_->edge_csr_failed.assign(static_cast<size_t>(num_shards), 0);
+    sharded_->edge_derived.resize(static_cast<size_t>(num_shards));
     // Post-scatter audit: the vertex/edge PartitionSets self-audited inside
     // Build; the message shards scattered here carry the same obligations
     // (structure + every row owned by its shard).
@@ -1058,24 +1017,11 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
       shared->aggregator_names.push_back(spec.name);
     }
 
-    // Vertex batching within each shard uses the *global* partition count:
-    // a shard's rows only hash into its own contiguous partition block, so
-    // the per-shard batches, their order, and therefore every per-vertex
-    // tuple stream are exactly those of an unsharded pass.
-    TransformOptions topts;
-    topts.num_workers = options_.num_workers;
-    topts.num_partitions = base_partitions;
-    topts.sort_columns = {0};
-    TransformUdfFactory factory;
-    if (options_.use_union_input) {
-      factory = [shared]() -> std::unique_ptr<TransformUdf> {
-        return std::make_unique<Worker>(shared);
-      };
-    } else {
-      factory = [shared]() -> std::unique_ptr<TransformUdf> {
-        return std::make_unique<JoinWorker>(shared);
-      };
-    }
+    // Vertex batching within each shard uses the *global* partition count
+    // (RunWorkerPass resolves it from the options, as base_partitions
+    // was): a shard's rows only hash into its own contiguous partition
+    // block, so the per-shard batches, their order, and therefore every
+    // per-vertex tuple stream are exactly those of an unsharded pass.
 
     // ---- Per-shard dataflow: input → worker → split, shard-parallel. ---
     struct ShardStep {
@@ -1111,58 +1057,15 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
             // superstep dense). Value-neutral either way — the per-shard
             // frontier build is the unsharded construction applied to the
             // shard's slice of the partition blocks.
-            Frontier frontier;
-            bool frontier_shard = ComputeFrontier(
-                *vs, *ms, knobs.frontier, superstep,
-                options_.frontier_threshold, &frontier);
-            if (frontier_shard) {
-              VX_DCHECK_OK(frontier.bits.CheckInvariants());
-            }
-            Table input;
-            if (options_.use_union_input) {
-              const CsrIndex* csr = nullptr;
-              if (frontier_shard && !sharded_->edge_csr_failed[s]) {
-                if (sharded_->edge_csr[s] == nullptr) {
-                  const Column* src = es->ColumnByName("src");
-                  if (src != nullptr) {
-                    sharded_->edge_csr[s] = CsrIndex::Build(*src);
-                    if (sharded_->edge_csr[s] != nullptr) {
-                      VX_DCHECK_OK(
-                          sharded_->edge_csr[s]->CheckInvariants(*src));
-                    }
-                  }
-                  sharded_->edge_csr_failed[s] =
-                      sharded_->edge_csr[s] == nullptr ? 1 : 0;
-                }
-                csr = sharded_->edge_csr[s].get();
-              }
-              frontier_shard = frontier_shard && csr != nullptr;
-              if (frontier_shard) {
-                VX_ASSIGN_OR_RETURN(
-                    input, BuildUnionInputFrontier(vs, es, ms, frontier.bits,
-                                                   *csr));
-              } else {
-                VX_ASSIGN_OR_RETURN(input, BuildUnionInput(vs, es, ms));
-              }
-            } else {
-              if (frontier_shard) {
-                VX_ASSIGN_OR_RETURN(
-                    input, BuildJoinInputFrontier(
-                               vs, sharded_->edge_join_side[s], ms,
-                               frontier.bits));
-              } else {
-                VX_ASSIGN_OR_RETURN(
-                    input, BuildJoinInputWithEdgeSide(
-                               vs, sharded_->edge_join_side[s], ms));
-              }
-            }
-            st.used_frontier = frontier_shard;
-            st.frontier_vertices = frontier_shard ? frontier.active : 0;
-            st.input_rows = input.num_rows();
-            VX_ASSIGN_OR_RETURN(Table out_table,
-                                ApplyTransform(input, 0, factory, topts));
+            VX_ASSIGN_OR_RETURN(
+                WorkerPass pass,
+                RunWorkerPass(vs, es, ms, knobs.frontier, superstep, shared,
+                              &sharded_->edge_derived[s]));
+            st.used_frontier = pass.used_frontier;
+            st.frontier_vertices = pass.frontier_vertices;
+            st.input_rows = pass.input_rows;
             const auto out =
-                std::make_shared<const Table>(std::move(out_table));
+                std::make_shared<const Table>(std::move(pass.output));
             VX_ASSIGN_OR_RETURN(SplitOutputs split,
                                 SplitWorkerOutput(out, va, ma));
             st.updates = std::move(split.updates);
@@ -1229,17 +1132,10 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
         ShardScatter(global_messages, dst_c, sharded_->spec));
     std::vector<int64_t> shard_message_rows(static_cast<size_t>(num_shards));
     for (int s = 0; s < num_shards; ++s) {
-      Table inbound = std::move(routed[static_cast<size_t>(s)]);
-      // Sorted-message invariant (order-aware joins), per shard; mirrors
-      // the unsharded loop and is likewise not gated on the merge knob.
-      if (!options_.use_union_input) {
-        VX_ASSIGN_OR_RETURN(int dc, inbound.ColumnIndex("dst"));
-        if (inbound.num_rows() > 0 && !OrderedByColumn(inbound, "dst")) {
-          inbound = SortTable(inbound, {{dc, true}});
-        } else if (inbound.sort_order().empty()) {
-          inbound.SetSortOrder({{dc, true}});
-        }
-      }
+      // Sorted-message invariant, per shard; mirrors the unsharded loop.
+      VX_ASSIGN_OR_RETURN(
+          Table inbound,
+          SortedByReceiver(std::move(routed[static_cast<size_t>(s)])));
       if (knobs.encoding != EncodingMode::kOff) {
         inbound.EncodeColumns(knobs.encoding);
       }

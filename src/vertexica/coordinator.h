@@ -5,9 +5,11 @@
 ///
 /// Each superstep the coordinator
 ///  1. assembles the worker input from the vertex/edge/message tables —
-///     either as the §2.3 table union or as the traditional 3-way join,
-///  2. hash-partitions it on vertex id and sorts each partition (vertex
-///     batching), runs parallel worker UDFs,
+///     either as the §2.3 table union (sections scattered on vertex id and
+///     merged per partition, vertexica/union_input.h) or as the traditional
+///     3-way join (hash-partitioned and sorted per partition),
+///  2. runs parallel worker UDFs over the id-sorted partitions (vertex
+///     batching),
 ///  3. splits the worker output into vertex updates, new messages, and
 ///     global-aggregator partials,
 ///  4. optionally combines messages per receiver (combiner),
@@ -25,14 +27,18 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "exec/frontier.h"
 #include "graphgen/graph.h"
 #include "storage/bitvector.h"
 #include "storage/csr_index.h"
 #include "vertexica/graph_tables.h"
 #include "vertexica/options.h"
+#include "vertexica/union_input.h"
 #include "vertexica/vertex_program.h"
 
 namespace vertexica {
+
+struct WorkerSharedState;
 
 /// \brief Measurements for one superstep (shown in the demo GUI's time
 /// monitor and consumed by the benches).
@@ -47,8 +53,8 @@ struct SuperstepStats {
 
   /// \name Phase breakdown (sums to ≈ seconds)
   /// @{
-  double input_seconds = 0.0;    ///< union/join assembly
-  double worker_seconds = 0.0;   ///< partition + sort + Compute
+  double input_seconds = 0.0;    ///< union sections / join assembly
+  double worker_seconds = 0.0;   ///< per-partition input + Compute
   double split_seconds = 0.0;    ///< output split & combiner
   double apply_seconds = 0.0;    ///< vertex update / table swaps
   /// @}
@@ -170,43 +176,20 @@ class Coordinator {
   /// can range-scan the catalog tables without copying them.
   using TablePtr = std::shared_ptr<const Table>;
 
-  Result<Table> BuildUnionInput(const TablePtr& vertex, const TablePtr& edge,
-                                const TablePtr& message) const;
-  Result<Table> BuildJoinInput(const TablePtr& vertex, const TablePtr& edge,
-                               const TablePtr& message) const;
   /// Projects/numbers/re-encodes the (esrc, edst, eweight, edge_seq) join
-  /// side of an edge table — the per-run cacheable half of BuildJoinInput;
-  /// the sharded path builds one per edge shard.
+  /// side of an edge table — the per-run cacheable half of the join input.
   Result<TablePtr> BuildEdgeJoinSide(const TablePtr& edge) const;
   /// The per-superstep half: vertex ⟕ message ⟕ prebuilt edge side.
   Result<Table> BuildJoinInputWithEdgeSide(const TablePtr& vertex,
                                            const TablePtr& edge_side,
                                            const TablePtr& message) const;
-
-  /// \name Frontier input builders (exec/frontier.h)
-  ///
-  /// Sparse counterparts of BuildUnionInput / BuildJoinInputWithEdgeSide:
-  /// the worker input is gathered from the `frontier` bitvector over
-  /// vertex rows — active vertex rows, their CSR edge slices (union path)
-  /// or the restricted probe side (join path), and the full message table
-  /// (every receiver is in the frontier by construction; receivers absent
-  /// from the vertex table are skipped by the worker exactly as on the
-  /// dense path). Gathers iterate set bits in ascending row order and the
-  /// section order (v → e → m) is unchanged, so after the stable
-  /// partition-and-sort the per-vertex tuple streams — and therefore
-  /// results, combiner folds, and aggregate FP folds — are bit-identical
-  /// to the dense build.
-  /// @{
-  Result<Table> BuildUnionInputFrontier(const TablePtr& vertex,
-                                        const TablePtr& edge,
-                                        const TablePtr& message,
-                                        const Bitvector& frontier,
-                                        const CsrIndex& csr) const;
+  /// Sparse counterpart (exec/frontier.h): only the probe (vertex) side is
+  /// restricted to the `frontier` rows; see BuildUnionInputFrontier for the
+  /// union path.
   Result<Table> BuildJoinInputFrontier(const TablePtr& vertex,
                                        const TablePtr& edge_side,
                                        const TablePtr& message,
                                        const Bitvector& frontier) const;
-  /// @}
   /// Applies the program's message combiner (when configured and enabled)
   /// over a message table; otherwise returns it unchanged.
   Result<Table> CombineMessages(Table messages) const;
@@ -244,30 +227,56 @@ class Coordinator {
   /// Structures derived from one edge-table snapshot, cached together and
   /// invalidated together by snapshot identity — the coordinator re-fetches
   /// the stored edge table every superstep, so replacing it (the
-  /// dynamic-graph path) changes `source` and rebuilds both members on
-  /// first use. `join_side` is the (esrc, edst, eweight, edge_seq)
-  /// projection with the esrc column kept RLE-encoded so the merge join
-  /// matches whole runs; `csr` is the per-source-vertex row-slice index the
+  /// dynamic-graph path) changes `source` and rebuilds every member on
+  /// first use. All members are built lazily inside the run, on the first
+  /// superstep that needs them. `join_side` is the (esrc, edst, eweight,
+  /// edge_seq) projection with the esrc column kept RLE-encoded so the
+  /// merge join matches whole runs; `union_section` is the edge section of
+  /// the union input, projected and scattered over the batching partitions
+  /// once per run; `csr` is the per-source-vertex row-slice index the
   /// frontier gathers use (csr_failed remembers an unbuildable layout so an
   /// unsorted edge table is probed once per snapshot, not per superstep).
   /// The message/vertex sides change every superstep and are not cacheable.
+  /// The unsharded loop keeps one; the sharded loop one per edge shard.
   struct EdgeDerived {
     TablePtr source;
-    TablePtr join_side;                   ///< lazy; join-input path
-    std::shared_ptr<const CsrIndex> csr;  ///< lazy; union frontier path
+    TablePtr join_side;                                ///< join path
+    std::shared_ptr<const UnionSection> union_section; ///< union path
+    std::shared_ptr<const CsrIndex> csr;               ///< union frontier
     bool csr_failed = false;
   };
-  /// Drops the cache when `edge` is a different snapshot than the one the
-  /// cached structures were derived from.
-  void SyncEdgeDerived(const TablePtr& edge) const;
+  /// Drops `cache` when `edge` is a different snapshot than the one its
+  /// structures were derived from.
+  static void SyncEdgeDerived(EdgeDerived* cache, const TablePtr& edge);
   /// The cached join side for `edge`, building it on first use.
-  Result<TablePtr> EdgeJoinSideFor(const TablePtr& edge) const;
+  Result<TablePtr> EdgeJoinSideFor(EdgeDerived* cache,
+                                   const TablePtr& edge) const;
+  /// The cached union edge section for `edge`, building it on first use.
+  Result<std::shared_ptr<const UnionSection>> EdgeUnionSectionFor(
+      EdgeDerived* cache, const TablePtr& edge, int num_partitions) const;
   /// The cached CSR index for `edge`, building it on first use; nullptr
   /// when the edge table's src column is not grouped (callers fall back to
   /// the dense path).
-  const CsrIndex* EdgeCsrFor(const TablePtr& edge) const;
+  const CsrIndex* EdgeCsrFor(EdgeDerived* cache, const TablePtr& edge) const;
 
   mutable EdgeDerived edge_derived_;
+
+  /// One superstep's worker pass over one vertex/edge/message triple — the
+  /// whole tables, or one shard's: frontier decision, input build, worker
+  /// UDFs. Shared by both superstep loops so they cannot drift apart.
+  struct WorkerPass {
+    Table output;
+    int64_t input_rows = 0;
+    bool used_frontier = false;
+    int64_t frontier_vertices = 0;
+    double input_seconds = 0.0;   ///< frontier decision + input build
+    double worker_seconds = 0.0;  ///< per-partition input + Compute
+  };
+  Result<WorkerPass> RunWorkerPass(
+      const TablePtr& vertex, const TablePtr& edge, const TablePtr& message,
+      FrontierMode mode, int superstep,
+      const std::shared_ptr<const WorkerSharedState>& shared,
+      EdgeDerived* cache) const;
 
   /// Resident shard state of the persistent-sharding path (vertex/edge
   /// PartitionSets, per-shard message tables and cached edge join sides);

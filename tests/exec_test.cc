@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -11,10 +14,13 @@
 #include "common/random.h"
 #include "common/threadpool.h"
 #include "exec/exec_knobs.h"
+#include "exec/distinct.h"
 #include "exec/kernel_stats.h"
+#include "exec/limit.h"
 #include "exec/merge_join.h"
 #include "exec/parallel.h"
 #include "exec/plan_builder.h"
+#include "exec/sort_op.h"
 #include "exec/vectorized.h"
 #include "storage/sort.h"
 
@@ -1285,6 +1291,235 @@ TEST(ParallelForTest, NestedCallsDoNotDeadlock) {
       4);
   EXPECT_TRUE(st.ok());
   EXPECT_EQ(total.load(), 16);
+}
+
+// ---------------------------------------------------------------------------
+// Typed aggregate fold (ParallelHashAggregate): byte-equal to the generic
+// AccState fold on every shape it takes, including FP edge values, a hub
+// group spanning several morsel chunks, and any thread count.
+// ---------------------------------------------------------------------------
+
+/// Byte equality of two tables: same schema, same validity, and doubles
+/// equal by bit pattern (so -0.0, infinities, subnormals and NaN payloads
+/// count exactly). The one allowance is `sum_columns`, the SUM/AVG outputs
+/// of two *different* folds: there a NaN must meet a NaN, but its sign and
+/// payload may differ, because when two different NaNs meet in an addition
+/// IEEE 754 leaves which one propagates to the compiled instruction's
+/// operand order, which two different loops need not share.
+void ExpectTablesSameBytes(const Table& got, const Table& want,
+                           const std::string& where,
+                           const std::vector<std::string>& sum_columns = {}) {
+  ASSERT_TRUE(got.schema().Equals(want.schema())) << where;
+  ASSERT_EQ(got.num_rows(), want.num_rows()) << where;
+  for (int c = 0; c < got.num_columns(); ++c) {
+    const Column& a = got.column(c);
+    const Column& b = want.column(c);
+    const bool nan_payload_free =
+        std::find(sum_columns.begin(), sum_columns.end(),
+                  got.schema().field(c).name) != sum_columns.end();
+    for (int64_t r = 0; r < got.num_rows(); ++r) {
+      ASSERT_EQ(a.IsNull(r), b.IsNull(r)) << where << " col " << c;
+      if (a.IsNull(r)) continue;
+      if (a.type() == DataType::kDouble) {
+        const double x = a.GetDouble(r);
+        const double y = b.GetDouble(r);
+        if (nan_payload_free && std::isnan(x) && std::isnan(y)) continue;
+        ASSERT_EQ(std::memcmp(&x, &y, sizeof(x)), 0)
+            << where << " col " << c << " row " << r << ": " << x << " vs "
+            << y;
+      } else {
+        ASSERT_EQ(a.GetValue(r), b.GetValue(r))
+            << where << " col " << c << " row " << r;
+      }
+    }
+  }
+}
+
+/// k INT64 with a hub key 0 on every other row, v INT64 in {2^53, 2^53+1}
+/// (distinct ints that compare equal as doubles), x DOUBLE drawn from NaN,
+/// ±0.0, ±inf, subnormals and ordinary values. Group 1007 holds only -0.0; the
+/// INT64 extremes are keys too.
+Table EdgeValueTable(uint64_t seed, int64_t rows) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {
+      std::numeric_limits<double>::quiet_NaN(), -0.0, 0.0, kInf, -kInf,
+      std::numeric_limits<double>::denorm_min(), -4.9e-320, 1e-310, 1.5,
+      -2.25};
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  Rng rng(seed);
+  Table t(Schema({{"k", DataType::kInt64},
+                  {"v", DataType::kInt64},
+                  {"x", DataType::kDouble}}));
+  for (int64_t r = 0; r < rows; ++r) {
+    // The hub sees every special; each other group only two neighbouring
+    // ones, so ties like (-0.0, 0.0) and NaN-first groups decide extremes.
+    int64_t k = r % 2 == 0 ? 0 : static_cast<int64_t>(rng.Uniform(40)) + 1;
+    double x = k == 0 ? specials[rng.Uniform(10)]
+                      : specials[(k + rng.Uniform(2)) % 10];
+    if (r % 97 == 5) {
+      k = 7 + 1000;  // the all -0.0 group
+      x = -0.0;
+    } else if (r % 131 == 3) {
+      // Extreme keys: INT64_MIN and INT64_MAX as group keys.
+      k = r % 2 == 0 ? std::numeric_limits<int64_t>::min()
+                     : std::numeric_limits<int64_t>::max();
+    }
+    VX_CHECK_OK(t.AppendRow(
+        {Value(k), Value(kTwo53 + static_cast<int64_t>(rng.Uniform(2))),
+         Value(x)}));
+  }
+  return t;
+}
+
+const std::vector<AggSpec>& TypedAggs() {
+  static const std::vector<AggSpec> aggs = {
+      {AggOp::kSum, "x", "sx"},   {AggOp::kMin, "x", "nx"},
+      {AggOp::kMax, "x", "mx"},   {AggOp::kCount, "x", "cx"},
+      {AggOp::kAvg, "x", "ax"},   {AggOp::kSum, "v", "sv"},
+      {AggOp::kMin, "v", "nv"},   {AggOp::kMax, "v", "mv"},
+      {AggOp::kCount, "v", "cv"}, {AggOp::kAvg, "v", "av"},
+      {AggOp::kCountStar, "", "n"}};
+  return aggs;
+}
+
+TEST(TypedAggregateTest, ByteEqualToGenericFold) {
+  const Table t = EdgeValueTable(71, 900);
+  ASSERT_TRUE(UsesTypedAggregateFold(t, {"k"}, TypedAggs()));
+  for (const int64_t morsel : {int64_t{64}, int64_t{7}, kDefaultMorselRows}) {
+    for (const int threads : kThreadSweep) {
+      ParallelOptions opts;
+      opts.morsel_rows = morsel;
+      opts.num_threads = threads;
+      const std::string where = "morsel=" + std::to_string(morsel) +
+                                " threads=" + std::to_string(threads);
+      auto typed = ParallelHashAggregate(t, {"k"}, TypedAggs(), opts);
+      auto generic = GenericParallelHashAggregate(t, {"k"}, TypedAggs(), opts);
+      ASSERT_TRUE(typed.ok()) << typed.status().ToString();
+      ASSERT_TRUE(generic.ok()) << generic.status().ToString();
+      ExpectTablesSameBytes(*typed, *generic, where, {"sx", "ax"});
+    }
+  }
+  // The hub group spans at least three morsel chunks at morsel 64.
+  int64_t hub_rows = 0;
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    hub_rows += t.column(0).GetInt64(r) == 0 ? 1 : 0;
+  }
+  EXPECT_GE(hub_rows, 3 * 64);
+}
+
+TEST(TypedAggregateTest, SingleAggregateShapesMatchGeneric) {
+  // Each op on its own, per value type: the combiner's SUM/MIN/MAX over
+  // DOUBLE and SQL's COUNT/AVG over INT64 shapes among them.
+  const Table t = EdgeValueTable(72, 500);
+  ParallelOptions opts;
+  opts.morsel_rows = 64;
+  for (const AggSpec& spec : TypedAggs()) {
+    auto typed = ParallelHashAggregate(t, {"k"}, {spec}, opts);
+    auto generic = GenericParallelHashAggregate(t, {"k"}, {spec}, opts);
+    ASSERT_TRUE(typed.ok() && generic.ok());
+    const bool sums = spec.op == AggOp::kSum || spec.op == AggOp::kAvg;
+    ExpectTablesSameBytes(*typed, *generic, spec.output,
+                          sums ? std::vector<std::string>{spec.output}
+                               : std::vector<std::string>{});
+  }
+}
+
+TEST(TypedAggregateTest, NullableOrOtherShapesTakeTheGenericFold) {
+  const Table plain = EdgeValueTable(73, 200);
+  EXPECT_TRUE(UsesTypedAggregateFold(plain, {"k"}, TypedAggs()));
+  // NULLs in a value column, in the key, a STRING value, two keys, and no
+  // key at all all fall back to the generic fold.
+  const Table nullable_values = KeyedTable(74, 300, 20);
+  EXPECT_FALSE(UsesTypedAggregateFold(nullable_values, {"k"},
+                                      {{AggOp::kSum, "x", "sx"}}));
+  Table null_key(Schema({{"k", DataType::kInt64}, {"x", DataType::kDouble}}));
+  VX_CHECK_OK(null_key.AppendRow({Value(int64_t{1}), Value(1.0)}));
+  VX_CHECK_OK(null_key.AppendRow({Value::Null(), Value(2.0)}));
+  EXPECT_FALSE(
+      UsesTypedAggregateFold(null_key, {"k"}, {{AggOp::kSum, "x", "sx"}}));
+  EXPECT_FALSE(UsesTypedAggregateFold(People(), {"id"},
+                                      {{AggOp::kMin, "name", "n"}}));
+  EXPECT_FALSE(UsesTypedAggregateFold(plain, {"k", "v"},
+                                      {{AggOp::kSum, "x", "sx"}}));
+  EXPECT_FALSE(UsesTypedAggregateFold(plain, {}, {{AggOp::kSum, "x", "sx"}}));
+  // Whatever the fold, the public kernel's answer is the generic one.
+  const std::vector<const Table*> fallbacks = {&nullable_values, &null_key};
+  for (const Table* t : fallbacks) {
+    auto out = ParallelHashAggregate(*t, {"k"}, {{AggOp::kSum, "x", "sx"}});
+    auto ref =
+        GenericParallelHashAggregate(*t, {"k"}, {{AggOp::kSum, "x", "sx"}});
+    ASSERT_TRUE(out.ok() && ref.ok());
+    ExpectTablesSameBytes(*out, *ref, "nullable");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Blocking operators over a whole-table scan reuse the scanned snapshot
+// (CollectShared) instead of copying it into slices and appending them.
+// ---------------------------------------------------------------------------
+
+TEST(CollectSharedTest, BlockingOperatorsOverWholeScanMaterializeNothing) {
+  const Table t = KeyedTable(81, 40000, 300);  // > 2 scan batches
+  const auto shared = std::make_shared<const Table>(t);
+  const std::vector<AggSpec> aggs = {{AggOp::kSum, "x", "sx"},
+                                     {AggOp::kMin, "v", "nv"},
+                                     {AggOp::kCountStar, "", "n"}};
+  // Each operator over a whole-table scan, and over the same rows behind a
+  // Limit (which makes the child a non-scan, forcing the slice-and-append
+  // collect) as the byte reference; the scan path must count no bytes.
+  using MakeOp = std::function<OperatorPtr(OperatorPtr)>;
+  const std::vector<std::pair<std::string, MakeOp>> ops = {
+      {"ParallelAggregate",
+       [&](OperatorPtr in) -> OperatorPtr {
+         return std::make_unique<ParallelAggregateOp>(
+             std::move(in), std::vector<std::string>{"k"}, aggs);
+       }},
+      {"HashAggregate",
+       [&](OperatorPtr in) -> OperatorPtr {
+         return std::make_unique<HashAggregateOp>(
+             std::move(in), std::vector<std::string>{"k"}, aggs);
+       }},
+      {"Sort",
+       [](OperatorPtr in) -> OperatorPtr {
+         return std::make_unique<SortOp>(
+             std::move(in),
+             std::vector<OrderBySpec>{{"k", true}, {"v", false}});
+       }},
+      {"Distinct",
+       [](OperatorPtr in) -> OperatorPtr {
+         return std::make_unique<DistinctOp>(std::move(in));
+       }},
+  };
+  for (const auto& [name, make] : ops) {
+    KernelStats whole_stats;
+    Result<Table> whole = Status::Internal("unset");
+    {
+      ScopedKernelStats scope(&whole_stats);
+      OperatorPtr op = make(std::make_unique<TableScan>(shared));
+      whole = Collect(op.get());
+    }
+    KernelStats copied_stats;
+    Result<Table> copied = Status::Internal("unset");
+    {
+      ScopedKernelStats scope(&copied_stats);
+      OperatorPtr op = make(std::make_unique<LimitOp>(
+          std::make_unique<TableScan>(shared), t.num_rows()));
+      copied = Collect(op.get());
+    }
+    ASSERT_TRUE(whole.ok()) << name << ": " << whole.status().ToString();
+    ASSERT_TRUE(copied.ok()) << name << ": " << copied.status().ToString();
+    ExpectTablesSameBytes(*whole, *copied, name);
+    EXPECT_EQ(Snapshot(whole_stats).bytes_materialized, 0) << name;
+    EXPECT_GT(Snapshot(copied_stats).bytes_materialized, 0) << name;
+  }
+  // And the kernels straight over the table agree with the plans.
+  auto direct = ParallelHashAggregate(t, {"k"}, aggs);
+  auto planned = PlanBuilder::Scan(shared).Aggregate({"k"}, aggs).Execute();
+  ASSERT_TRUE(direct.ok() && planned.ok());
+  ExpectTablesSameBytes(*planned, *direct, "PlanBuilder aggregate");
+  auto sorted = PlanBuilder::Scan(shared).OrderBy({{"k", true}}).Execute();
+  ASSERT_TRUE(sorted.ok());
+  ExpectTablesSameBytes(*sorted, SortTable(t, {{0, true}}), "OrderBy");
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "giraph/bsp_engine.h"
 #include "sqlgraph/sql_common.h"
 #include "storage/compression.h"
+#include "storage/partition.h"
 
 namespace vertexica {
 namespace {
@@ -491,6 +492,56 @@ TEST(CheckpointTest, ResumedFrontierRunMatchesDenseBaseline) {
   ASSERT_EQ(dists->size(), dense.size());
   for (size_t v = 0; v < dense.size(); ++v) {
     EXPECT_EQ((*dists)[v], dense[v]) << "vertex " << v;
+  }
+}
+
+TEST(CheckpointTest, ResumedUnionPathKeepsFrontier) {
+  // A chain SSSP has one active vertex per superstep, so every superstep
+  // past the first can take the frontier path — provided the resumed run
+  // re-declares the restored vertex table's id order on the union input
+  // path too (the frontier's structural precondition).
+  Graph g;
+  g.num_vertices = 100;
+  for (int64_t v = 0; v + 1 < g.num_vertices; ++v) g.AddEdge(v, v + 1, 1.0);
+  ScopedFrontierMode on(FrontierMode::kOn);
+  ScopedExecShards unsharded(1);  // pin against a VERTEXICA_SHARDS env
+
+  Catalog full;
+  auto expect = RunShortestPaths(&full, g, 0);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+
+  const std::string dir = testing::TempDir() + "/vx_ckpt_union_frontier";
+  ShortestPathProgram program(0);
+  Catalog cat;
+  ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
+  VertexicaOptions opts;  // default: union input
+  ASSERT_TRUE(opts.use_union_input);
+  opts.max_supersteps = 5;  // "crash" after superstep 4
+  opts.checkpoint_every = 1;
+  opts.checkpoint_dir = dir;
+  Coordinator interrupted(&cat, &program, opts);
+  ASSERT_TRUE(interrupted.Run().ok());
+
+  Catalog recovered;
+  ASSERT_TRUE(LoadCatalog(dir, &recovered).ok());
+  VertexicaOptions resume = opts;
+  resume.max_supersteps = 500;
+  resume.checkpoint_every = 0;
+  resume.resume_from_checkpoint = true;
+  ShortestPathProgram program2(0);
+  Coordinator resumed(&recovered, &program2, resume);
+  RunStats stats;
+  ASSERT_TRUE(resumed.Run(&stats).ok());
+  ASSERT_FALSE(stats.supersteps.empty());
+  EXPECT_EQ(stats.supersteps.front().superstep, 5);
+  EXPECT_GT(stats.frontier_supersteps, 0);
+  EXPECT_EQ(stats.dense_supersteps, 0);
+
+  auto dists = ReadVertexValues(recovered, {});
+  ASSERT_TRUE(dists.ok());
+  ASSERT_EQ(dists->size(), expect->size());
+  for (size_t v = 0; v < expect->size(); ++v) {
+    EXPECT_EQ((*dists)[v], (*expect)[v]) << "vertex " << v;
   }
 }
 

@@ -4,16 +4,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "algorithms/pagerank.h"
 #include "algorithms/reference.h"
 #include "algorithms/sssp.h"
 #include "exec/frontier.h"
 #include "exec/merge_join.h"
+#include "exec/parallel.h"
 #include "graphgen/generators.h"
+#include "storage/csr_index.h"
 #include "storage/partition.h"
+#include "storage/sort.h"
 #include "vertexica/coordinator.h"
 #include "vertexica/graph_tables.h"
+#include "vertexica/union_input.h"
 #include "vertexica/worker.h"
 
 namespace vertexica {
@@ -809,6 +815,348 @@ TEST(InvariantAuditTest, CatalogTablesPassDeepAuditAfterRuns) {
                            << "): " << st.ToString();
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Worker-input layout: the partition-wise union builder (union_input.h)
+// must hand the Worker exactly what HashPartition + a stable SortTable of
+// the three-section union table produced — byte for byte, in every table
+// state the coordinator can meet. The reference union is rebuilt here from
+// the §2.3 projections, independently of the builder.
+// ---------------------------------------------------------------------------
+
+/// A program that only fixes the arities the union layout depends on.
+class ArityProgram : public VertexProgram {
+ public:
+  ArityProgram(int va, int ma) : va_(va), ma_(ma) {}
+  int value_arity() const override { return va_; }
+  int message_arity() const override { return ma_; }
+  void InitValue(int64_t, int64_t, double* value) const override {
+    for (int i = 0; i < va_; ++i) value[i] = 0.0;
+  }
+  void Compute(VertexContext*) override {}
+
+ private:
+  int va_;
+  int ma_;
+};
+
+/// The reference union: v, e, m sections projected to the common schema and
+/// concatenated in that order (ids may repeat across sections).
+Table ReferenceUnion(const Table& vertex, const Table& edge,
+                     const Table& message, const VertexProgram& program) {
+  const int va = program.value_arity();
+  const int ma = program.message_arity();
+  const int arity = PayloadArity(program);
+  std::vector<ProjectionSpec> vproj = {
+      {"id", Col("id")},
+      {"kind", Lit(static_cast<int64_t>(kVertexTuple))},
+      {"other", Lit(int64_t{-1})},
+      {"halted", Col("halted")}};
+  std::vector<ProjectionSpec> eproj = {
+      {"id", Col("src")},
+      {"kind", Lit(static_cast<int64_t>(kEdgeTuple))},
+      {"other", Col("dst")},
+      {"halted", Lit(false)}};
+  std::vector<ProjectionSpec> mproj = {
+      {"id", Col("dst")},
+      {"kind", Lit(static_cast<int64_t>(kMessageTuple))},
+      {"other", Col("src")},
+      {"halted", Lit(false)}};
+  for (int i = 0; i < arity; ++i) {
+    const std::string p = "p" + std::to_string(i);
+    vproj.push_back({p, i < va ? Col("v" + std::to_string(i)) : Lit(0.0)});
+    eproj.push_back({p, i == 0 ? Col("weight") : Lit(0.0)});
+    mproj.push_back({p, i < ma ? Col("m" + std::to_string(i)) : Lit(0.0)});
+  }
+  auto v = ParallelProject(std::make_shared<const Table>(vertex), vproj);
+  auto e = ParallelProject(std::make_shared<const Table>(edge), eproj);
+  auto m = ParallelProject(std::make_shared<const Table>(message), mproj);
+  EXPECT_TRUE(v.ok() && e.ok() && m.ok());
+  Table out = *std::move(v);
+  EXPECT_TRUE(out.Append(*e).ok());
+  EXPECT_TRUE(out.Append(*m).ok());
+  return out;
+}
+
+/// Partition p of the reference: HashPartition + stable sort on id.
+std::vector<Table> ReferencePartitions(const Table& vertex, const Table& edge,
+                                       const Table& message,
+                                       const VertexProgram& program,
+                                       int partitions) {
+  std::vector<Table> parts = HashPartition(
+      ReferenceUnion(vertex, edge, message, program), 0, partitions);
+  for (Table& t : parts) t = SortTable(t, {{0, true}});
+  return parts;
+}
+
+/// Byte equality: same schema and, per cell, same validity and same bits
+/// (doubles compared by bit pattern, so NaN payloads and -0.0 count).
+void ExpectSameBytes(const Table& got, const Table& want,
+                     const std::string& where) {
+  ASSERT_TRUE(got.schema().Equals(want.schema())) << where;
+  ASSERT_EQ(got.num_rows(), want.num_rows()) << where;
+  for (int c = 0; c < got.num_columns(); ++c) {
+    const Column& a = got.column(c);
+    const Column& b = want.column(c);
+    for (int64_t r = 0; r < got.num_rows(); ++r) {
+      ASSERT_EQ(a.IsNull(r), b.IsNull(r)) << where << " col " << c << " row "
+                                          << r;
+      if (a.IsNull(r)) continue;
+      switch (a.type()) {
+        case DataType::kDouble: {
+          const double x = a.GetDouble(r);
+          const double y = b.GetDouble(r);
+          ASSERT_EQ(std::memcmp(&x, &y, sizeof(x)), 0)
+              << where << " col " << c << " row " << r;
+          break;
+        }
+        case DataType::kBool:
+          ASSERT_EQ(a.GetBool(r), b.GetBool(r))
+              << where << " col " << c << " row " << r;
+          break;
+        default:
+          ASSERT_EQ(a.GetInt64(r), b.GetInt64(r))
+              << where << " col " << c << " row " << r;
+      }
+    }
+  }
+}
+
+/// Stored-table triple for the layout cases: ids include negatives and the
+/// INT64 extremes; edges include self-loops, multi-edges and sinks;
+/// messages include receivers absent from the vertex table.
+struct LayoutTables {
+  Table vertex;
+  Table edge;
+  Table message;
+};
+
+LayoutTables MakeLayoutTables(int va, int ma) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const std::vector<int64_t> ids = {kMin, kMin + 1, -7, -1, 0, 1, 2, 3,
+                                    5, 8, 13, 1000003, kMax - 1, kMax};
+  LayoutTables t{Table(MakeVertexSchema(va)), Table(MakeEdgeSchema()),
+                 Table(MakeMessageSchema(ma))};
+  for (size_t i = 0; i < ids.size(); ++i) {
+    std::vector<Value> row = {Value(ids[i]), Value(i % 3 == 0)};
+    for (int c = 0; c < va; ++c) {
+      row.push_back(Value(static_cast<double>(i) * 0.5 + c));
+    }
+    EXPECT_TRUE(t.vertex.AppendRow(row).ok());
+  }
+  const auto add_edge = [&t](int64_t s, int64_t d, double w) {
+    EXPECT_TRUE(t.edge.AppendRow({Value(s), Value(d), Value(w)}).ok());
+  };
+  // Sorted (src, dst) like the stored edge table; 3, 8 and kMax - 1 are
+  // sinks, -7 has a self-loop, 0 -> 1 is a multi-edge.
+  add_edge(kMin, kMax, 1.0);
+  add_edge(kMin, 0, -0.0);
+  add_edge(kMin + 1, kMin + 1, 2.0);
+  add_edge(-7, -7, 3.0);
+  add_edge(-7, 2, std::numeric_limits<double>::quiet_NaN());
+  add_edge(-1, 5, 4.0);
+  add_edge(0, 1, 5.0);
+  add_edge(0, 1, 6.0);
+  add_edge(0, 13, 7.0);
+  add_edge(1, 2, 8.0);
+  add_edge(2, 1000003, 9.0);
+  add_edge(5, 0, 10.0);
+  add_edge(13, -1, 11.0);
+  add_edge(1000003, kMin, 12.0);
+  add_edge(kMax, kMax, 13.0);
+  // Messages in arrival order (not sorted by dst); 4 and 99 are orphan
+  // receivers, several receivers get more than one message.
+  const std::vector<std::pair<int64_t, int64_t>> msgs = {
+      {0, 1},  {5, kMax}, {-7, 4},   {1, 1},    {kMin, 0},  {2, -7},
+      {3, 99}, {0, 1},    {13, kMin}, {-1, kMax}, {8, 1000003}};
+  for (size_t i = 0; i < msgs.size(); ++i) {
+    std::vector<Value> row = {Value(msgs[i].first), Value(msgs[i].second)};
+    for (int c = 0; c < ma; ++c) {
+      row.push_back(Value(static_cast<double>(i) + 0.25 * c));
+    }
+    EXPECT_TRUE(t.message.AppendRow(row).ok());
+  }
+  return t;
+}
+
+/// `t` sorted (stable) and declared ascending on `column`.
+Table Sorted(const Table& t, const std::string& column) {
+  return SortTable(t, {{t.schema().FieldIndex(column), true}});
+}
+
+/// The partitions the coordinator hands the Worker for one table triple:
+/// sections through BuildUnionInput (dense) or BuildUnionInputFrontier.
+std::vector<Table> BuilderPartitions(const Table& vertex, const Table& edge,
+                                     const Table& message,
+                                     const VertexProgram& program,
+                                     int partitions,
+                                     const Bitvector* frontier) {
+  auto v = std::make_shared<const Table>(vertex);
+  auto e = std::make_shared<const Table>(edge);
+  auto m = std::make_shared<const Table>(message);
+  Result<UnionInput> input = Status::Internal("unset");
+  if (frontier != nullptr) {
+    auto csr = CsrIndex::Build(*edge.ColumnByName("src"));
+    EXPECT_NE(csr, nullptr);
+    input = BuildUnionInputFrontier(v, e, m, *frontier, *csr, program,
+                                    partitions);
+  } else {
+    auto section =
+        BuildUnionSection(UnionSectionKind::kEdge, e, program, partitions);
+    EXPECT_TRUE(section.ok());
+    input = BuildUnionInput(
+        v, std::make_shared<const UnionSection>(*std::move(section)), m,
+        program, partitions);
+  }
+  EXPECT_TRUE(input.ok()) << input.status().ToString();
+  std::vector<Table> out;
+  for (int p = 0; p < partitions; ++p) out.push_back(input->Partition(p));
+  return out;
+}
+
+/// `t` with its rows in reverse order (no declared order).
+Table Reversed(const Table& t) {
+  std::vector<int64_t> rows;
+  for (int64_t r = t.num_rows() - 1; r >= 0; --r) rows.push_back(r);
+  return t.Take(rows);
+}
+
+TEST(UnionInputTest, PartitionsMatchHashPartitionAndStableSort) {
+  // The coordinator's batching count, and a coarse one that puts many ids
+  // (and out-of-order rows) into every partition.
+  for (const int kPartitions : {kDefaultTransformPartitions, 4}) {
+  for (const auto& [va, ma] : {std::pair{1, 1}, std::pair{3, 1},
+                               std::pair{1, 3}}) {
+    ArityProgram program(va, ma);
+    const LayoutTables raw = MakeLayoutTables(va, ma);
+    // Table states: undeclared (a restored checkpoint: rows in stored
+    // order, no declaration; messages in arrival order), unsorted (rows
+    // in reverse stored order, no declaration) and declared (vertex by
+    // id, edge by src, message by dst).
+    struct State {
+      const char* name;
+      Table vertex, edge, message;
+    };
+    std::vector<State> states;
+    states.push_back({"undeclared", raw.vertex, raw.edge, raw.message});
+    states.push_back({"unsorted", Reversed(raw.vertex), Reversed(raw.edge),
+                      Reversed(raw.message)});
+    states.push_back({"declared", Sorted(raw.vertex, "id"),
+                      Sorted(raw.edge, "src"), Sorted(raw.message, "dst")});
+    for (const State& st : states) {
+      for (const int shards : {1, 4}) {
+        for (const bool frontier_on : {false, true}) {
+          const std::string where =
+              std::string(st.name) + " partitions=" +
+              std::to_string(kPartitions) + " va=" + std::to_string(va) +
+              " ma=" + std::to_string(ma) + " shards=" +
+              std::to_string(shards) +
+              (frontier_on ? " frontier" : " dense");
+          // The frontier path's precondition is an id-sorted vertex table;
+          // every other vertex row is active.
+          // The CSR index needs src-sorted edges; undeclared is fine.
+          const Table vertex =
+              frontier_on ? Sorted(st.vertex, "id") : st.vertex;
+          Table edge = st.edge;
+          if (frontier_on) {
+            edge = Sorted(st.edge, "src");
+            if (std::string(st.name) != "declared") edge.ClearSortOrder();
+          }
+          Bitvector bits(vertex.num_rows());
+          std::vector<int64_t> active_rows;
+          for (int64_t r = 0; r < vertex.num_rows(); r += 2) {
+            bits.Set(r);
+            active_rows.push_back(r);
+          }
+          // Reference input: the frontier restricts the vertex rows and
+          // their out-edges (in edge-table order); messages stay whole.
+          Table ref_vertex = vertex;
+          Table ref_edge = edge;
+          if (frontier_on) {
+            ref_vertex = vertex.Take(active_rows);
+            std::vector<int64_t> edge_rows;
+            for (int64_t r : active_rows) {
+              const int64_t id = vertex.column(0).GetInt64(r);
+              for (int64_t e = 0; e < edge.num_rows(); ++e) {
+                if (edge.column(0).GetInt64(e) == id) edge_rows.push_back(e);
+              }
+            }
+            ref_edge = edge.Take(edge_rows);
+          }
+          const std::vector<Table> want = ReferencePartitions(
+              ref_vertex, ref_edge, st.message, program, kPartitions);
+
+          ShardingSpec spec;
+          spec.num_shards = shards;
+          spec.base_partitions = kPartitions;
+          auto vs = ShardScatter(vertex, 0, spec);
+          auto es = ShardScatter(edge, 0, spec);
+          auto ms = ShardScatter(st.message, 1, spec);
+          ASSERT_TRUE(vs.ok() && es.ok() && ms.ok());
+          for (int s = 0; s < shards; ++s) {
+            const auto ss = static_cast<size_t>(s);
+            std::optional<Bitvector> shard_bits;
+            if (frontier_on) {
+              // Re-derive the shard's active rows: the shard holds the
+              // vertex rows of its ids in table order.
+              const Table& shard_vertex = (*vs)[ss];
+              shard_bits.emplace(shard_vertex.num_rows());
+              for (int64_t r = 0; r < shard_vertex.num_rows(); ++r) {
+                const int64_t id = shard_vertex.column(0).GetInt64(r);
+                for (int64_t a : active_rows) {
+                  if (vertex.column(0).GetInt64(a) == id) shard_bits->Set(r);
+                }
+              }
+            }
+            const std::vector<Table> got = BuilderPartitions(
+                (*vs)[ss], (*es)[ss], (*ms)[ss], program, kPartitions,
+                shard_bits ? &*shard_bits : nullptr);
+            for (int p = 0; p < kPartitions; ++p) {
+              const auto sp = static_cast<size_t>(p);
+              const std::string at = where + " shard " + std::to_string(s) +
+                                     " partition " + std::to_string(p);
+              if (spec.ShardOfPartition(p) == s) {
+                ExpectSameBytes(got[sp], want[sp], at);
+              } else {
+                EXPECT_EQ(got[sp].num_rows(), 0) << at;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  }
+}
+
+TEST(UnionInputTest, MostPartitionsOfATinyGraphAreEmpty) {
+  // Two vertices over 64 batching partitions: the empty partitions must
+  // merge to empty tables (skipped by RunTransform), the rest must match.
+  ArityProgram program(1, 1);
+  Table vertex(MakeVertexSchema(1));
+  ASSERT_TRUE(vertex.AppendRow({Value(int64_t{7}), Value(false), Value(1.0)})
+                  .ok());
+  ASSERT_TRUE(vertex.AppendRow({Value(int64_t{9}), Value(true), Value(2.0)})
+                  .ok());
+  Table edge(MakeEdgeSchema());
+  ASSERT_TRUE(
+      edge.AppendRow({Value(int64_t{7}), Value(int64_t{9}), Value(1.0)}).ok());
+  Table message(MakeMessageSchema(1));
+  const int kPartitions = kDefaultTransformPartitions;
+  const std::vector<Table> want =
+      ReferencePartitions(vertex, edge, message, program, kPartitions);
+  const std::vector<Table> got = BuilderPartitions(
+      vertex, edge, message, program, kPartitions, nullptr);
+  int non_empty = 0;
+  for (int p = 0; p < kPartitions; ++p) {
+    const auto sp = static_cast<size_t>(p);
+    ExpectSameBytes(got[sp], want[sp], "partition " + std::to_string(p));
+    non_empty += got[sp].num_rows() > 0 ? 1 : 0;
+  }
+  EXPECT_GE(non_empty, 1);
+  EXPECT_LE(non_empty, 2);
 }
 
 }  // namespace
